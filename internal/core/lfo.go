@@ -532,7 +532,8 @@ func (p *LFO) admitEvictor(r trace.Request) {
 // extraction of the rescore matrix — the feature rows the incoming model
 // will score for every resident object, i.e. the next window's first
 // feature-extraction work. Stage 2: GBDT training (feature-parallel
-// inside gbdt.Train), then one batched prediction over the prebuilt
+// inside gbdt.Train, with the learned-eviction ranker training alongside;
+// see trainModels), then one batched prediction over the prebuilt
 // matrix re-ranks the residents. Every stage is a pure function of the
 // boundary state and joins at a fixed point, so results are byte-identical
 // to the sequential pipeline for any Workers value.
@@ -585,28 +586,10 @@ func (p *LFO) retrain() {
 		}
 	}
 	ds := gbdt.DatasetFromMatrix(features.Dim, p.winFeats, labels)
-	sc := obs.Start(p.m.trainNS)
-	model, err := gbdt.Train(ds, p.cfg.GBDT)
-	sc.Stop()
-	if err != nil {
-		panic(fmt.Sprintf("core: training failed: %v", err))
-	}
+	model, evictModel := trainModels(p.winReqs, ds, res.Admit, p.cfg, p.m)
 
 	if p.cfg.OnRetrain != nil {
 		p.cfg.OnRetrain(p.retrainStats(model, ds, res))
-	}
-
-	// The eviction ranker trains from the same window's OPT labels (an
-	// object OPT would not cache is the ideal victim), so the one solve
-	// above supervises both models.
-	var evictModel *gbdt.Model
-	if p.cfg.Eviction == "learned" {
-		sc = obs.Start(p.m.evictTrainNS)
-		evictModel, err = evict.Train(p.winReqs, res.Admit, p.cfg.GBDT)
-		sc.Stop()
-		if err != nil {
-			panic(fmt.Sprintf("core: eviction training failed: %v", err))
-		}
 	}
 
 	p.winReqs = p.winReqs[:0]
@@ -623,7 +606,7 @@ func (p *LFO) retrain() {
 	p.m.retrains.Inc()
 	p.updateLag()
 	if p.rank != nil {
-		sc = obs.Start(p.m.rescoreNS)
+		sc := obs.Start(p.m.rescoreNS)
 		p.rescoreWith(ids, rescoreRows)
 		sc.Stop()
 	}
@@ -739,22 +722,8 @@ func trainWindow(reqs []trace.Request, feats []float64, cfg Config, m coreMetric
 		}
 	}
 	ds := gbdt.DatasetFromMatrix(features.Dim, feats, labels)
-	sc = obs.Start(m.trainNS)
-	model, err := gbdt.Train(ds, cfg.GBDT)
-	sc.Stop()
-	if err != nil {
-		panic(fmt.Sprintf("core: training failed: %v", err))
-	}
-	tr := trainResult{model: model}
-	if cfg.Eviction == "learned" {
-		sc = obs.Start(m.evictTrainNS)
-		em, everr := evict.Train(reqs, res.Admit, cfg.GBDT)
-		sc.Stop()
-		if everr != nil {
-			panic(fmt.Sprintf("core: eviction training failed: %v", everr))
-		}
-		tr.evictModel = em
-	}
+	model, evictModel := trainModels(reqs, ds, res.Admit, cfg, m)
+	tr := trainResult{model: model, evictModel: evictModel}
 	if cfg.OnRetrain != nil {
 		preds := make([]float64, ds.Len())
 		model.PredictMatrix(feats, preds, cfg.Workers)
@@ -782,6 +751,46 @@ func trainWindow(reqs []trace.Request, feats []float64, cfg Config, m coreMetric
 		}
 	}
 	return tr
+}
+
+// trainModels fits the admission model on a labelled window and, with
+// learned eviction, the eviction ranker on the same window's OPT labels
+// (an object OPT would not cache is the ideal victim), so one solve
+// supervises both. The two fits share only read-only inputs, so with
+// more than one worker the ranker trains concurrently with the admission
+// model and joins at a fixed point: both models are byte-identical to
+// sequential training for any Workers value.
+func trainModels(reqs []trace.Request, ds *gbdt.Dataset, admit []bool, cfg Config, m coreMetrics) (model, evictModel *gbdt.Model) {
+	var evictErr error
+	trainEvict := func() {
+		sc := obs.Start(m.evictTrainNS)
+		evictModel, evictErr = evict.Train(reqs, admit, cfg.GBDT)
+		sc.Stop()
+	}
+	var evictDone chan struct{}
+	if cfg.Eviction == "learned" && par.Resolve(cfg.Workers) > 1 {
+		evictDone = make(chan struct{})
+		go func() {
+			defer close(evictDone)
+			trainEvict()
+		}()
+	}
+	sc := obs.Start(m.trainNS)
+	model, err := gbdt.Train(ds, cfg.GBDT)
+	sc.Stop()
+	switch {
+	case evictDone != nil:
+		<-evictDone
+	case cfg.Eviction == "learned":
+		trainEvict()
+	}
+	if err != nil {
+		panic(fmt.Sprintf("core: training failed: %v", err))
+	}
+	if evictErr != nil {
+		panic(fmt.Sprintf("core: eviction training failed: %v", evictErr))
+	}
+	return model, evictModel
 }
 
 // gatherResidents snapshots the resident set in sorted ID order and

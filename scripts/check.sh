@@ -2,9 +2,9 @@
 # check.sh — the repository's full verification gate (tier 1+).
 #
 # Runs formatting, vet, build, the custom lfolint analyzer, the full test
-# suite, and the race detector over the concurrent packages. Every step
-# must pass; the script exits non-zero on the first failure, so it is
-# directly usable as a CI gate.
+# suite, the benchmark module's vet and self-tests, and the race detector
+# over the concurrent packages. Every step must pass; the script exits
+# non-zero on the first failure, so it is directly usable as a CI gate.
 #
 # Usage: scripts/check.sh
 set -euo pipefail
@@ -31,6 +31,13 @@ go run ./cmd/lfolint ./...
 
 step "go test ./..."
 go test ./...
+
+# perfbench is a module of its own (it pins the repository through a
+# replace), so ./... above does not reach it. Its self-tests check the
+# benchmark's output checks and metric plumbing; running them here makes
+# a program change that breaks the benchmark fail locally.
+step "perfbench: go vet + go test (separate module)"
+(cd perfbench && go vet ./... && go test ./...)
 
 step "go test -race (concurrent packages)"
 go test -race ./internal/server ./internal/fleet ./internal/faultnet \
