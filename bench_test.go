@@ -262,14 +262,23 @@ func BenchmarkGBDTTrain(b *testing.B) {
 
 // BenchmarkOPTCompute measures the OPT labeler across algorithm and
 // window-size regimes. flow-large is the segmented headline: ~130k
-// intervals — 10x beyond the old 12k single-solve ceiling (42s
-// unsegmented at 13.6k intervals on this hardware) — labeled mostly by
-// exact per-segment flow in a fraction of that time. The reported
-// flow-ivs/greedy-ivs metrics break down how many intervals each solver
-// labeled.
+// intervals labeled mostly by exact per-segment flow. flow-cdn-5k and
+// fit-web-5k are shaped like one retrain window of the lfo-cdn and
+// lfo-web benchmark workloads (5K requests, CDN mix at 16 MiB and web mix
+// at 8 MiB, BHR costs, default config): the CDN window is congested, so
+// its cost is the min-cost flow solve, while every web interval fits at
+// once and the flow solve is skipped. On a 2-vCPU VM (Go 1.24) they run
+// at ~0.3 s/op and ~0.5 ms/op. The reported flow-ivs/greedy-ivs metrics
+// break down how many intervals each solver labeled.
 func BenchmarkOPTCompute(b *testing.B) {
 	small := benchTrace(b, 8000)
 	large := benchTrace(b, 220000)
+	cdn5k := benchTrace(b, 5000)
+	web5k, err := GenerateWebMix(5000, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	web5k = web5k.WithCosts(ObjectiveBHR)
 	cases := []struct {
 		name string
 		tr   *Trace
@@ -279,6 +288,8 @@ func BenchmarkOPTCompute(b *testing.B) {
 		{"flow-large", large, opt.Config{CacheSize: 64 << 20, Algorithm: opt.AlgoFlow}},
 		{"greedy-small", small, opt.Config{CacheSize: 16 << 20, Algorithm: opt.AlgoGreedy}},
 		{"greedy-large", large, opt.Config{CacheSize: 64 << 20, Algorithm: opt.AlgoGreedy}},
+		{"flow-cdn-5k", cdn5k, opt.Config{CacheSize: 16 << 20}},
+		{"fit-web-5k", web5k, opt.Config{CacheSize: 8 << 20}},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {

@@ -146,7 +146,6 @@ type trainer struct {
 	bestBuild  []splitInfo  // per-feature candidates of histPass's built child
 	bestDerive []splitInfo  // per-feature candidates of histPass's derived child
 	histFree   []*histogram // recycled histogram storage
-	histLive   []*histogram // histograms handed out for the current tree
 }
 
 // computeGradients evaluates the logistic loss gradient/hessian at the
@@ -319,29 +318,29 @@ func (t *trainer) histOffsets(feats []int) []int {
 }
 
 // newHistogram hands out histogram storage, recycling storage released by
-// previous trees so steady-state training allocates no per-leaf buffers.
-// The bins are not cleared: the fused pass clears each feature's slice
-// right before filling it.
+// leaves that no longer need theirs, so steady-state training allocates no
+// per-leaf buffers. The bins are not cleared: the fused pass clears each
+// feature's slice right before filling it.
 func (t *trainer) newHistogram(offsets []int) *histogram {
 	need := offsets[len(offsets)-1]
-	var h *histogram
 	if n := len(t.histFree); n > 0 && cap(t.histFree[n-1].bins) >= need {
-		h = t.histFree[n-1]
+		h := t.histFree[n-1]
 		t.histFree = t.histFree[:n-1]
 		h.bins = h.bins[:need]
 		h.offsets = offsets
-	} else {
-		h = &histogram{bins: make([]histBin, need), offsets: offsets}
+		return h
 	}
-	t.histLive = append(t.histLive, h)
-	return h
+	return &histogram{bins: make([]histBin, need), offsets: offsets}
 }
 
-// recycleHistograms returns every histogram handed out for the finished
-// tree to the free pool.
-func (t *trainer) recycleHistograms() {
-	t.histFree = append(t.histFree, t.histLive...)
-	t.histLive = t.histLive[:0]
+// releaseHistogram returns a leaf's histogram to the free pool. A leaf
+// needs its histogram only until it is split (the larger child inherits
+// it) or until its split search finds nothing to split on.
+func (t *trainer) releaseHistogram(c *leafCand) {
+	if c.hist != nil {
+		t.histFree = append(t.histFree, c.hist)
+		c.hist = nil
+	}
 }
 
 // gradPair is one row's gradient and hessian, gathered in leaf row order
@@ -542,8 +541,6 @@ func (t *trainer) splitGain(parentObj, lg, lh float64, lc int32, rg, rh float64,
 // children of the split that reaches NumLeaves, children at MaxDepth, and
 // children with fewer than 2·MinDataInLeaf rows.
 func (t *trainer) buildTree(rows []int32, feats []int) *Tree {
-	defer t.recycleHistograms()
-
 	sumG, sumH := t.rowSums(rows)
 	tree := &Tree{}
 	tree.Nodes = append(tree.Nodes, node{Feature: -1, Value: t.leafValue(sumG, sumH)})
@@ -554,6 +551,9 @@ func (t *trainer) buildTree(rows []int32, feats []int) *Tree {
 	if t.splittable(root) {
 		root.hist = t.newHistogram(offsets)
 		t.histPass(feats, root, nil, nil)
+		if !root.best.valid {
+			t.releaseHistogram(root)
+		}
 	}
 
 	open := append(t.open[:0], root)
@@ -577,6 +577,7 @@ func (t *trainer) buildTree(rows []int32, feats []int) *Tree {
 		numLeaves++
 		open = append(open, left, right)
 		if numLeaves == t.p.NumLeaves || (t.p.MaxDepth > 0 && left.depth >= t.p.MaxDepth) {
+			t.releaseHistogram(c)
 			continue
 		}
 		// Histogram subtraction: materialize the smaller child, derive
@@ -587,10 +588,20 @@ func (t *trainer) buildTree(rows []int32, feats []int) *Tree {
 			small, large = right, left
 		}
 		if !t.splittable(large) {
+			t.releaseHistogram(c)
 			continue
 		}
 		small.hist = t.newHistogram(offsets)
 		t.histPass(feats, small, large, c.hist)
+		c.hist = nil // the larger child took it over
+		for _, l := range [2]*leafCand{small, large} {
+			if !l.best.valid {
+				t.releaseHistogram(l)
+			}
+		}
+	}
+	for _, c := range open {
+		t.releaseHistogram(c)
 	}
 	t.open = open
 	if numLeaves == 1 {

@@ -3,67 +3,65 @@ package mcf
 // heap is a binary min-heap of (dist, node) pairs specialized for the
 // Dijkstra inner loop; it avoids the interface indirection of
 // container/heap, which dominates profile time on large OPT graphs.
+// Sifting moves a hole instead of swapping, but compares exactly as a
+// swap-based heap does (<= going up, strict < going down, left child
+// first), so equal distances pop in the same order.
 type heap struct {
-	dist []int64
-	node []int32
+	items []heapItem
 }
 
-func newHeap(capacity int) *heap {
-	return &heap{
-		dist: make([]int64, 0, capacity),
-		node: make([]int32, 0, capacity),
-	}
+type heapItem struct {
+	dist int64
+	node int32
 }
 
-func (h *heap) len() int { return len(h.dist) }
+func (h *heap) len() int { return len(h.items) }
 
-func (h *heap) reset() {
-	h.dist = h.dist[:0]
-	h.node = h.node[:0]
-}
+func (h *heap) reset() { h.items = h.items[:0] }
 
 func (h *heap) push(d int64, n int32) {
 	//lfolint:ignore hotpath-alloc heap storage grows to the frontier high-water mark; reset() keeps the capacity across solves
-	h.dist = append(h.dist, d)
-	//lfolint:ignore hotpath-alloc heap storage grows to the frontier high-water mark; reset() keeps the capacity across solves
-	h.node = append(h.node, n)
-	i := len(h.dist) - 1
+	h.items = append(h.items, heapItem{})
+	items := h.items
+	i := len(items) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if h.dist[p] <= h.dist[i] {
+		if items[p].dist <= d {
 			break
 		}
-		h.swap(i, p)
+		items[i] = items[p]
 		i = p
 	}
+	items[i] = heapItem{d, n}
 }
 
 func (h *heap) pop() (int64, int32) {
-	d, n := h.dist[0], h.node[0]
-	last := len(h.dist) - 1
-	h.dist[0], h.node[0] = h.dist[last], h.node[last]
-	h.dist = h.dist[:last]
-	h.node = h.node[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < last && h.dist[l] < h.dist[small] {
-			small = l
+	items := h.items
+	top := items[0]
+	last := len(items) - 1
+	x := items[last]
+	h.items = items[:last]
+	if last > 0 {
+		i := 0
+		for {
+			l := 2*i + 1
+			if l >= last {
+				break
+			}
+			small, sd := i, x.dist
+			if items[l].dist < sd {
+				small, sd = l, items[l].dist
+			}
+			if r := l + 1; r < last && items[r].dist < sd {
+				small = r
+			}
+			if small == i {
+				break
+			}
+			items[i] = items[small]
+			i = small
 		}
-		if r < last && h.dist[r] < h.dist[small] {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		h.swap(i, small)
-		i = small
+		items[i] = x
 	}
-	return d, n
-}
-
-func (h *heap) swap(i, j int) {
-	h.dist[i], h.dist[j] = h.dist[j], h.dist[i]
-	h.node[i], h.node[j] = h.node[j], h.node[i]
+	return top.dist, top.node
 }

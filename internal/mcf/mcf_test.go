@@ -389,3 +389,32 @@ func TestGraphReset(t *testing.T) {
 		t.Errorf("cost = %d, want 15", cost)
 	}
 }
+
+// BenchmarkMCFSolve solves one fixed FOO-shaped OPT graph per iteration
+// (a central path at cache capacity, one bypass arc per reuse interval,
+// every bypass at the same BHR cost) with a reused Solver and Graph, the
+// way package opt labels segment after segment. Once a warm-up solve has
+// sized the scratch, a solve must not allocate.
+func BenchmarkMCFSolve(b *testing.B) {
+	in := fooShaped(rand.New(rand.NewSource(5)), 300, 450)
+	g := NewGraph(0)
+	s := NewSolver()
+	solve := func() {
+		g.Reset(in.n)
+		for _, e := range in.edges {
+			g.AddEdge(e.from, e.to, e.cap, e.cost)
+		}
+		for v, sup := range in.supply {
+			g.SetSupply(v, sup)
+		}
+		if _, err := s.Solve(g); err != nil {
+			b.Fatal(err)
+		}
+	}
+	solve()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		solve()
+	}
+}

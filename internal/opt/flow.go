@@ -2,6 +2,7 @@ package opt
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -29,7 +30,7 @@ func flowSegment(sg *segment, cfg Config, res *Result, sc *solveScratch) error {
 	// Collect endpoint request indices and compress to node ids: sort,
 	// dedup in place, and look nodes up by binary search — no maps, so the
 	// hot path stays allocation-free across reuses.
-	idx := sc.idx[:0]
+	idx := slices.Grow(sc.idx[:0], 2*len(sg.ivs))
 	for _, iv := range sg.ivs {
 		idx = append(idx, iv.from, iv.to)
 	}
@@ -56,7 +57,7 @@ func flowSegment(sg *segment, cfg Config, res *Result, sc *solveScratch) error {
 		g.AddEdge(k, k+1, free, 0)
 	}
 	// Bypass arcs and supplies per interval.
-	bypass := sc.bypass[:0]
+	bypass := slices.Grow(sc.bypass[:0], len(sg.ivs))
 	for _, iv := range sg.ivs {
 		perByte := iv.cost / float64(iv.size) * float64(cfg.CostScale)
 		c := int64(perByte + 0.5)
@@ -92,7 +93,7 @@ func flowSegment(sg *segment, cfg Config, res *Result, sc *solveScratch) error {
 // remaining interval, highest C/(S·L) rank first, that fits at every time
 // step. The result is feasible and never worse than the raw extraction.
 func repairSegment(sg *segment, cfg Config, res *Result, sc *solveScratch) {
-	rest := sc.rest[:0]
+	rest := slices.Grow(sc.rest[:0], len(sg.ivs))
 	for _, iv := range sg.ivs {
 		if res.Admit[iv.from] {
 			sc.occ.Add(iv.from-sg.lo, iv.to-sg.lo, iv.size)

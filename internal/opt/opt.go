@@ -204,7 +204,13 @@ type interval struct {
 // buildIntervals extracts all reuse intervals and ranks them.
 func buildIntervals(tr *trace.Trace) []interval {
 	next := tr.NextRequestIndex()
-	var ivs []interval
+	count := 0
+	for _, j := range next {
+		if j >= 0 {
+			count++
+		}
+	}
+	ivs := make([]interval, 0, count)
 	for i, r := range tr.Requests {
 		j := next[i]
 		if j < 0 {
@@ -261,13 +267,17 @@ func Compute(tr *trace.Trace, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("opt: unknown algorithm %v", cfg.Algorithm)
 	}
 
-	// Derive hits and miss cost from the admission schedule.
-	prev := tr.PrevRequestIndex()
+	// Derive hits and miss cost from the admission schedule: a request
+	// hits when the interval ending at it was admitted. Totals are summed
+	// in request order.
+	for _, iv := range ivs {
+		if res.Admit[iv.from] {
+			res.Hit[iv.to] = true
+		}
+	}
 	for j, r := range tr.Requests {
 		res.TotalBytes += r.Size
-		i := prev[j]
-		if i >= 0 && res.Admit[i] {
-			res.Hit[j] = true
+		if res.Hit[j] {
 			res.Hits++
 			res.HitBytes += r.Size
 		} else {

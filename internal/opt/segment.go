@@ -45,10 +45,10 @@ func solveSegmented(tr trLike, selected []interval, cfg Config, res *Result) err
 	}
 	n := tr.Len()
 
-	// Normalize to from-order: froms are unique (one interval per request
-	// index), so this is a strict total order independent of how rank
-	// selection permuted the slice.
-	ivs := append([]interval(nil), selected...)
+	// Normalize to from-order, in place: froms are unique (one interval
+	// per request index), so this is a strict total order independent of
+	// how rank selection permuted the slice.
+	ivs := selected
 	sort.Slice(ivs, func(a, b int) bool { return ivs[a].from < ivs[b].from })
 
 	segs, boundary := planSegments(n, ivs, cfg)
@@ -135,8 +135,29 @@ func planSegments(n int, ivs []interval, cfg Config) ([]segment, []interval) {
 	for i := range segs {
 		segs[i].lo, segs[i].hi = bounds[i], bounds[i+1]
 	}
-	var boundary []interval
+	// Count each segment's contained intervals (the last slot counts the
+	// boundary intervals), then fill one backing array carved into
+	// per-segment runs with the boundary intervals in the tail.
+	counts := make([]int, len(segs)+1)
 	si := 0
+	for _, iv := range ivs {
+		for iv.from >= segs[si].hi {
+			si++
+		}
+		if iv.to <= segs[si].hi {
+			counts[si]++
+		} else {
+			counts[len(segs)]++
+		}
+	}
+	buf := make([]interval, len(ivs))
+	off := 0
+	for i := range segs {
+		segs[i].ivs = buf[off : off : off+counts[i]]
+		off += counts[i]
+	}
+	boundary := buf[off:off]
+	si = 0
 	for _, iv := range ivs {
 		for iv.from >= segs[si].hi {
 			si++
@@ -251,8 +272,8 @@ func sortByRank(ivs []interval) {
 
 // solveScratch is the reusable per-worker state for segment solves: the
 // flow graph arena, the SSP solver scratch, the local occupancy tree, and
-// the endpoint/bypass/repair buffers. One scratch serves all segments of
-// a worker's chunk, so repeated window solves stop reallocating.
+// the endpoint/bypass/repair/load buffers. One scratch serves all segments
+// of a worker's chunk, so repeated window solves stop reallocating.
 type solveScratch struct {
 	g      *mcf.Graph
 	solver *mcf.Solver
@@ -260,6 +281,7 @@ type solveScratch struct {
 	idx    []int
 	bypass []int
 	rest   []interval
+	load   []int64
 }
 
 func newSolveScratch() *solveScratch {
@@ -270,28 +292,82 @@ func newSolveScratch() *solveScratch {
 	}
 }
 
-// solveSegment labels one segment's intervals, seeding the local
-// occupancy tree with the boundary bytes reserved across its span.
+// solveSegment labels one segment's intervals: all of them when they fit
+// at once next to the boundary reservations, otherwise by the segment's
+// solver over an occupancy tree seeded with those reservations.
 func solveSegment(sg *segment, cfg Config, res *Result, sc *solveScratch) error {
 	if len(sg.ivs) == 0 {
 		return nil
 	}
-	sc.occ.reset(sg.hi - sg.lo)
-	for _, b := range sg.bnd {
-		lo, hi := b.from, b.to
-		if lo < sg.lo {
-			lo = sg.lo
+	if allFit(sg, cfg.CacheSize, sc) {
+		for _, iv := range sg.ivs {
+			res.Admit[iv.from] = true
 		}
-		if hi > sg.hi {
-			hi = sg.hi
-		}
-		sc.occ.Add(lo-sg.lo, hi-sg.lo, b.size)
+		return nil
 	}
+	seedOccupancy(sg, sc)
 	if sg.greedy {
 		greedySegment(sg, cfg, res, sc)
 		return nil
 	}
 	return flowSegment(sg, cfg, res, sc)
+}
+
+// seedOccupancy resets the local occupancy tree to the segment's span and
+// adds the boundary bytes reserved across it.
+func seedOccupancy(sg *segment, sc *solveScratch) {
+	sc.occ.reset(sg.hi - sg.lo)
+	for _, b := range sg.bnd {
+		lo, hi := sg.clip(b)
+		sc.occ.Add(lo-sg.lo, hi-sg.lo, b.size)
+	}
+}
+
+// clip returns the part of a boundary interval's span inside the segment.
+func (sg *segment) clip(b interval) (lo, hi int) {
+	lo, hi = b.from, b.to
+	if lo < sg.lo {
+		lo = sg.lo
+	}
+	if hi > sg.hi {
+		hi = sg.hi
+	}
+	return lo, hi
+}
+
+// allFit reports whether the segment's intervals and the boundary bytes
+// reserved across its span fit in the cache at every time step at once,
+// by one difference-array sweep over the span. When they do, admitting
+// every interval is exactly what both solvers return:
+//   - flow: every bypass arc costs at least 1 and routing all bytes along
+//     the central path is feasible, so the optimum costs 0, no byte
+//     bypasses, and the repair pass finds nothing left to admit;
+//   - greedy: each interval's check sees at most the full load, so every
+//     check passes.
+func allFit(sg *segment, cacheSize int64, sc *solveScratch) bool {
+	span := sg.hi - sg.lo
+	if cap(sc.load) < span+1 {
+		sc.load = make([]int64, span+1)
+	}
+	load := sc.load[:span+1]
+	clear(load)
+	for _, b := range sg.bnd {
+		lo, hi := sg.clip(b)
+		load[lo-sg.lo] += b.size
+		load[hi-sg.lo] -= b.size
+	}
+	for _, iv := range sg.ivs {
+		load[iv.from-sg.lo] += iv.size
+		load[iv.to-sg.lo] -= iv.size
+	}
+	var cur int64
+	for _, d := range load[:span] {
+		cur += d
+		if cur > cacheSize {
+			return false
+		}
+	}
+	return true
 }
 
 func absInt(x int) int {

@@ -90,8 +90,8 @@ fi
 
 step "alloc budgets"
 go test -run '^$' \
-    -bench '^(BenchmarkPredict|BenchmarkFlatPredict|BenchmarkPredictBatch|BenchmarkPredictMatrix|BenchmarkRunRequestLoop|BenchmarkRequestObs|BenchmarkRouterEnqueueFlush|BenchmarkPickVictim|BenchmarkGDSFRequest|BenchmarkOGDRequest)$' \
-    -benchmem -benchtime 200x ./internal/gbdt ./internal/sim ./internal/obs ./internal/fleet ./internal/evict ./internal/policy ./internal/policy/ogd \
+    -bench '^(BenchmarkPredict|BenchmarkFlatPredict|BenchmarkPredictBatch|BenchmarkPredictMatrix|BenchmarkRunRequestLoop|BenchmarkRequestObs|BenchmarkRouterEnqueueFlush|BenchmarkPickVictim|BenchmarkGDSFRequest|BenchmarkOGDRequest|BenchmarkMCFSolve)$' \
+    -benchmem -benchtime 200x ./internal/gbdt ./internal/sim ./internal/obs ./internal/fleet ./internal/evict ./internal/policy ./internal/policy/ogd ./internal/mcf \
     | awk -v budgets=testdata/alloc_budgets.txt -f scripts/allocgate.awk
 
 # Short fuzz smoke over the frame codec and the model parser. The
